@@ -35,9 +35,10 @@ Tokenizer tiers
 ``auto`` (default) picks the fastest available tier per chunk and falls
 back transparently; ``$REPRO_INGEST_PARSER`` or ``parser=`` pins one:
 
-- ``c`` — a ~60-line C scanner compiled once with the system C compiler
-  into a per-user cache directory and loaded via ctypes (about
-  GB/s; skipped silently when no compiler is present);
+- ``c`` — a C scanner in the package's native library
+  (:mod:`repro.primitives.native`, built once with the system C
+  compiler and loaded via ctypes; about GB/s; skipped silently when
+  no compiler is present);
 - ``numpy`` — ``np.fromstring`` over comment-stripped bytes after a
   vectorized digits/whitespace structure check (hundreds of MB/s);
 - ``python`` — the legacy per-line loop, kept as the semantic ground
@@ -56,14 +57,13 @@ import json
 import mmap
 import os
 import shutil
-import subprocess
 import tempfile
-import threading
 import time
 import warnings
 
 import numpy as np
 
+from ..primitives import native
 from .csr import CSRGraph
 
 # 2 MiB keeps the build passes' transient arrays (~5-6x a chunk's
@@ -79,238 +79,17 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 # -- tier 1: compiled C scanner ------------------------------------------------
 
-# One forward scan per chunk.  Bytes <= 0x20 are separators (space,
-# tab, CR, LF — matching str.split()); a line's first token starting
-# with the comment byte skips the line; each kept line must open with
-# two decimal tokens, anything after them is ignored (SNAP files carry
-# timestamps/weights).  Errors return -(offset+1) and the caller
-# re-parses the chunk on the Python tier so diagnostics (and the rare
-# inputs int() accepts but this scanner does not, e.g. signed ids)
-# match the legacy reader exactly.
-#
-# Tokens are converted eight digits at a time with the classic SWAR
-# multiply-mask reduction (the per-digit x = x*10 + d chain is a serial
-# multiply dependency and dominates a byte-at-a-time scanner).  The
-# Python caller pads every buffer with 8 trailing spaces so the 8-byte
-# loads below never run off the chunk.  Overflow checking is deferred:
-# a token of <= 18 digits cannot overflow int64, so only 19+-digit
-# tokens (after skipping leading zeros) pay a decimal string compare
-# against INT64_MAX.
-#
-# repro_compact64 is the id-compaction sibling: one linear-probe pass
-# over the parsed ids that assigns first-seen codes, against which the
-# caller then applies a sorted-rank permutation to land on np.unique
-# semantics without the O(k log k) argsort of the full value array.
-_C_SOURCE = r"""
-#include <stdint.h>
-#include <string.h>
-
-#define DIE(pos) (-((long long)(pos) + 1))
-
-/* INT64_MAX in decimal, for the deferred overflow check. */
-static const unsigned char MAXDEC[19] = "9223372036854775807";
-
-#if defined(__GNUC__) && defined(__BYTE_ORDER__) && \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define REPRO_SWAR 1
-#endif
-
-#ifdef REPRO_SWAR
-static inline uint64_t load8(const unsigned char *p)
-{
-    uint64_t w;
-    memcpy(&w, p, 8);
-    return w;
-}
-
-/* 8 ASCII digits (first digit at the lowest address) -> value. */
-static inline uint32_t parse8(uint64_t w)
-{
-    w = (w & 0x0F0F0F0F0F0F0F0FULL) * 2561 >> 8;
-    w = (w & 0x00FF00FF00FF00FFULL) * 6553601 >> 16;
-    return (uint32_t)((w & 0x0000FFFF0000FFFFULL) * 42949672960001ULL >> 32);
-}
-
-/* Per-byte high bit set where the byte is NOT an ASCII digit. */
-static inline uint64_t nondigits(uint64_t w)
-{
-    uint64_t t = w ^ 0x3030303030303030ULL;
-    uint64_t hi = t & 0x8080808080808080ULL;
-    uint64_t gt = ((t & 0x7F7F7F7F7F7F7F7FULL) + 0x7676767676767676ULL)
-                  & 0x8080808080808080ULL;
-    return hi | gt;
-}
-#endif
-
-/* Parse one decimal token at *ip (8 readable pad bytes past n).
-   0 = ok (*out set, *ip past the token); -1 = no digits; -2 = overflow. */
-static inline int token(const unsigned char *b, long long n, long long *ip,
-                        int64_t *out)
-{
-    long long i = *ip, s = i, nd;
-    uint64_t x = 0;
-#ifdef REPRO_SWAR
-    {
-        uint64_t w = load8(b + i);
-        uint64_t bad = nondigits(w);
-        int len = bad ? (int)(__builtin_ctzll(bad) >> 3) : 8;
-        if (len == 0)
-            return -1;
-        if (len < 8) {          /* whole token in one load: the hot path */
-            w = (w << (8 * (8 - len))) | (0x3030303030303030ULL >> (8 * len));
-            *out = (int64_t)parse8(w);
-            *ip = i + len;
-            return 0;
-        }
-        x = parse8(w);
-        i += 8;
-    }
-#endif
-    while (i < n) {
-        unsigned c = (unsigned)b[i] - '0';
-        if (c > 9)
-            break;
-        x = x * 10 + c;         /* uint64: wraps, checked below */
-        i++;
-    }
-    nd = i - s;
-    if (nd == 0)
-        return -1;
-    if (nd >= 19) {
-        while (nd > 1 && b[s] == '0') { s++; nd--; }
-        if (nd > 19 || (nd == 19 && memcmp(b + s, MAXDEC, 19) > 0))
-            return -2;
-    }
-    *out = (int64_t)x;
-    *ip = i;
-    return 0;
-}
-
-long long repro_parse_edges(const unsigned char *b, long long n,
-                            unsigned char comment,
-                            int64_t *u, int64_t *v)
-{
-    long long i = 0, m = 0;
-    while (i < n) {
-        while (i < n && b[i] <= ' ') i++;        /* blank lines too */
-        if (i >= n) break;
-        if (b[i] == comment) {                   /* comment line */
-            while (i < n && b[i] != '\n') i++;
-            continue;
-        }
-        int64_t x, y;
-        if (token(b, n, &i, &x)) return DIE(i);
-        if (i < n && b[i] > ' ') return DIE(i);  /* junk glued to token */
-        while (i < n && b[i] <= ' ' && b[i] != '\n') i++;
-        if (i >= n || b[i] == '\n') return DIE(i);   /* one token only */
-        if (token(b, n, &i, &y)) return DIE(i);
-        if (i < n && b[i] > ' ') return DIE(i);
-        u[m] = x; v[m] = y; m++;
-        while (i < n && b[i] != '\n') i++;       /* trailing columns */
-    }
-    return m;
-}
-
-/* First-seen-order compaction of k non-negative ids.  keys (size tsize,
-   a power of two, pre-filled with -1) and kcode are the caller's probe
-   table; distinct values land in vocab in first-seen order, codes[j]
-   gets vals[j]'s slot.  Returns the distinct count. */
-long long repro_compact64(const int64_t *vals, long long k,
-                          int64_t *keys, int32_t *kcode, long long tsize,
-                          int64_t *vocab, int32_t *codes)
-{
-    const uint64_t mask = (uint64_t)tsize - 1;
-    long long d = 0, j;
-    for (j = 0; j < k; j++) {
-        int64_t xv = vals[j];
-        uint64_t h = (uint64_t)xv;
-        h ^= h >> 33; h *= 0xff51afd7ed558ccdULL; h ^= h >> 33;
-        h &= mask;
-        while (keys[h] != -1 && keys[h] != xv)
-            h = (h + 1) & mask;
-        if (keys[h] == -1) {
-            keys[h] = xv;
-            kcode[h] = (int32_t)d;
-            vocab[d] = xv;
-            d++;
-        }
-        codes[j] = kcode[h];
-    }
-    return d;
-}
-"""
-
-_c_lock = threading.Lock()
-_c_state: dict = {"funcs": None, "tried": False}
-
-
-def _cc_cache_dir() -> str:
-    env = os.environ.get("REPRO_CC_CACHE", "").strip()
-    if env:
-        return env
-    uid = os.getuid() if hasattr(os, "getuid") else "na"
-    return os.path.join(tempfile.gettempdir(), f"repro-cc-{uid}")
-
-
-def _compile_cparser():
-    """Build (or reuse) the scanner .so; None when no toolchain."""
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None:
-        return None
-    tag = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:12]
-    cdir = _cc_cache_dir()
-    so_path = os.path.join(cdir, f"edgeparse-{tag}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(cdir, exist_ok=True)
-        src = os.path.join(cdir, f"edgeparse-{tag}.c")
-        tmp = os.path.join(cdir, f".edgeparse-{tag}.{os.getpid()}.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_C_SOURCE)
-        proc = subprocess.run([cc, "-O3", "-fPIC", "-shared", "-o", tmp, src],
-                              capture_output=True, timeout=120)
-        if proc.returncode != 0:
-            return None
-        os.replace(tmp, so_path)  # atomic: concurrent builders agree
-    lib = ctypes.CDLL(so_path)
-    p64 = ctypes.POINTER(ctypes.c_longlong)
-    p32 = ctypes.POINTER(ctypes.c_int)
-    fn = lib.repro_parse_edges
-    fn.restype = ctypes.c_longlong
-    fn.argtypes = [ctypes.c_char_p, ctypes.c_longlong, ctypes.c_ubyte,
-                   p64, p64]
-    cp = lib.repro_compact64
-    cp.restype = ctypes.c_longlong
-    cp.argtypes = [p64, ctypes.c_longlong, p64, p32, ctypes.c_longlong,
-                   p64, p32]
-    return {"parse": fn, "compact": cp}
-
-
-def _load_cfuncs():
-    with _c_lock:
-        if not _c_state["tried"]:
-            _c_state["tried"] = True
-            try:
-                _c_state["funcs"] = _compile_cparser()
-            except Exception:
-                _c_state["funcs"] = None
-        return _c_state["funcs"]
-
-
-def _load_cparser():
-    funcs = _load_cfuncs()
-    return funcs["parse"] if funcs else None
-
-
-def _load_ccompact():
-    funcs = _load_cfuncs()
-    return funcs["compact"] if funcs else None
+# The tokenizer and id compactor are C functions of the package's one
+# native library (:mod:`repro.primitives.native`, which documents the
+# scanner's grammar and tricks); without a compiler the numpy and
+# python tiers below take over.
 
 
 def _parse_c(data: bytes, comments: str):
     """C-tier parse, or None when unavailable / the chunk is not clean."""
     if len(comments) != 1 or not comments.isascii():
         return None
-    fn = _load_cparser()
+    fn = native.function("parse")
     if fn is None:
         return None
     # Each line is >= 4 bytes ("a b\n") and yields at most one edge.
@@ -456,7 +235,7 @@ def _compact_c(vals: np.ndarray):
     via a rank permutation.  Requires non-negative ids (-1 is the
     table's empty sentinel), which the tokenizer grammar guarantees.
     """
-    fn = _load_ccompact()
+    fn = native.function("compact")
     k = int(vals.size)
     if fn is None or k >= (1 << 31):
         return None

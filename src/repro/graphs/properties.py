@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..primitives import native
 from .csr import CSRGraph
 
 
@@ -36,12 +37,47 @@ def peel_degeneracy(g: CSRGraph) -> PeelResult:
 
     Removes a minimum-degree vertex at every step; the running maximum
     of the removal degrees is the degeneracy, and the removal degree
-    capped by that maximum is the coreness.
+    capped by that maximum is the coreness.  Runs the C peel of the
+    package's native library (:mod:`repro.primitives.native`) when it
+    builds, else the identical Python loop.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return PeelResult(order=np.empty(0, dtype=np.int64),
                           coreness=np.empty(0, dtype=np.int64), degeneracy=0)
+    out = _peel_c(g)
+    return out if out is not None else _peel_python(g)
+
+
+def _peel_c(g: CSRGraph) -> PeelResult | None:
+    """The native peel, or None when the library is unavailable."""
+    fn = native.function("peel")
+    if fn is None:
+        return None
+    n = g.n
+    indptr = np.ascontiguousarray(g.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(g.indices, dtype=np.int64)
+    # The C loop indexes without bounds checks: refuse rows or ids
+    # that would send it outside the arrays.
+    if indptr[0] != 0 or indptr[-1] != indices.size \
+            or np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("indptr does not describe the neighbor array")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("neighbor id out of range")
+    max_deg = g.max_degree
+    coreness = np.array(g.degrees, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    bins = np.empty(max_deg + 1, dtype=np.int64)
+    d = fn(n, indptr.ctypes.data, indices.ctypes.data, max_deg,
+           coreness.ctypes.data, order.ctypes.data, pos.ctypes.data,
+           bins.ctypes.data)
+    return PeelResult(order=order, coreness=coreness, degeneracy=int(d))
+
+
+def _peel_python(g: CSRGraph) -> PeelResult:
+    """The pure-Python peel: the fallback without a C compiler and the
+    parity oracle for :func:`_peel_c`."""
+    n = g.n
     deg = g.degrees.tolist()
     max_deg = max(deg) if n else 0
 

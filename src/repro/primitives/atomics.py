@@ -25,17 +25,17 @@ def decrement_and_fetch(counters: np.ndarray, targets: np.ndarray,
     earlier), matching the exactly-once semantics of DAF+Join.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if cost is not None:
-        dec = np.bincount(targets, minlength=1)
-        max_coll = int(dec.max()) if dec.size else 1
-        cost.scatter_decrement(targets.size, max_coll)
     if targets.size == 0:
         return np.empty(0, dtype=np.int64)
-    before_positive = counters > 0
-    np.subtract.at(counters, targets, 1)
-    hit = np.unique(targets)
-    released = hit[(counters[hit] <= 0) & before_positive[hit]]
-    return released
+    # Everything below is sized by the batch, never by the counter
+    # array, so a wave costs O(batch) as the cost book charges it.
+    hit, mult = np.unique(targets, return_counts=True)
+    if cost is not None:
+        cost.scatter_decrement(targets.size, int(mult.max()))
+    after = counters[hit] - mult
+    counters[hit] = after
+    # Released: positive before this batch, non-positive after it.
+    return hit[(after <= 0) & (after + mult > 0)]
 
 
 def fetch_and_add(counters: np.ndarray, targets: np.ndarray, amount: int = 1,

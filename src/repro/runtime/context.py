@@ -498,6 +498,10 @@ class ExecutionContext:
             if self._arena is not None:
                 self._arena.close()
                 self._arena = None
+            # The host references itself (_pool_host), so a finished
+            # run is reclaimed only by the cyclic collector; drop the
+            # scratch buffers now rather than whenever that runs.
+            self._scratch = ScratchArena()
             self.tracer.flush()
 
     def reset_books(self) -> None:
@@ -692,7 +696,9 @@ class ExecutionContext:
         if key is not None:
             key = f"{key}@{host._kernel_tier}"
         if eligible:
-            units = float(np.sum(weights)) if weights is not None \
+            # Weights size the round only where they shape the chunks.
+            units = float(np.sum(weights)) \
+                if weights is not None and self.weighted_chunks \
                 else float(n)
             p_eff = effective_parallelism(self.workers, len(chunks))
             inline = self._decide_dispatch(backend0, key, units,
@@ -700,17 +706,19 @@ class ExecutionContext:
         measure = eligible and self.adaptive == "on"
         ktimes: list | None = [] if measure else None
         t0 = time.perf_counter() if measure else 0.0
-        # Fused inline fast path: chunk results combine to the same
-        # value whatever the boundaries (the serial backend's 1-chunk
-        # plan is already bit-identical to the pooled plans), so with
-        # no fault plan pinning (round, chunk) coordinates an inlined
-        # round runs as one span — no futures, no specs, no wave
-        # machinery, no per-chunk invocation tax.  A fault plan keeps
-        # the per-chunk loop below so injections keep firing at the
-        # same coordinates they would under dispatch.
+        # Inline fast path: with no fault plan pinning (round, chunk)
+        # coordinates, an inlined round runs the planned spans in order
+        # on the coordinator — no futures, no specs, no wave machinery
+        # — and returns one result per planned chunk, exactly the
+        # shape a dispatched round returns, so the dispatch decision
+        # (which depends on timing and the core count) never shows in
+        # the result.  A fault plan keeps the per-chunk wave loop below
+        # so injections keep firing at the same coordinates they would
+        # under dispatch.
         if inline and host._faultplan is None:
             try:
-                fused = [self._call_chunk(fn, 0, n, None, records, ktimes)]
+                inlined = [self._call_chunk(fn, lo, hi, None, records,
+                                            ktimes) for lo, hi in chunks]
             except Exception:
                 # Re-run through the wave machinery so retry semantics
                 # and ChunkError reporting match the dispatched path
@@ -722,7 +730,7 @@ class ExecutionContext:
                                       time.perf_counter() - t0,
                                       sum(ktimes), len(ktimes), inline,
                                       p_eff)
-                return fused
+                return inlined
         results = [_PENDING] * len(chunks)
         attempts = [0] * len(chunks)
         todo = list(range(len(chunks)))

@@ -171,9 +171,13 @@ class TestMapChunksModes:
         with ExecutionContext(backend="threaded", workers=4,
                               adaptive="inline") as ctx:
             out = ctx.map_chunks(lambda lo, hi: hi - lo, self.N)
-        # No fault plan: the inlined round ran as one span — no wave
-        # machinery, one combined result (exactly the serial shape).
-        assert out == [self.N]
+        # No fault plan: the inlined round ran on the coordinator with
+        # no wave machinery, and still returns one result per planned
+        # chunk — the shape a dispatched round returns.
+        with ExecutionContext(backend="threaded", workers=4,
+                              adaptive="parallel") as ref:
+            assert out == ref.map_chunks(lambda lo, hi: hi - lo, self.N)
+        assert len(out) > 1 and sum(out) == self.N
         rec = ctx.dispatch_record()
         assert rec["decisions"]["inline"] == 1
         assert rec["decisions"]["parallel"] == 0

@@ -1,6 +1,8 @@
 """Tests for the DecrementAndFetch / Join semantics."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.costmodel import CostModel
 from repro.primitives.atomics import decrement_and_fetch, fetch_and_add
@@ -48,6 +50,44 @@ class TestDecrementAndFetch:
         counters = np.array([10])
         decrement_and_fetch(counters, np.array([0, 0, 0]), cost=c)
         assert c.work == 3
+
+
+def _daf_reference(counters, targets, cost=None):
+    """The original O(n)-per-call implementation, kept as the oracle."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if cost is not None:
+        dec = np.bincount(targets, minlength=1)
+        max_coll = int(dec.max()) if dec.size else 1
+        cost.scatter_decrement(targets.size, max_coll)
+    if targets.size == 0:
+        return np.empty(0, dtype=np.int64)
+    before_positive = counters > 0
+    np.subtract.at(counters, targets, 1)
+    hit = np.unique(targets)
+    return hit[(counters[hit] <= 0) & before_positive[hit]]
+
+
+class TestDecrementAndFetchParity:
+    @given(st.lists(st.integers(-3, 4), min_size=1, max_size=40),
+           st.lists(st.lists(st.integers(0, 39), max_size=30), max_size=5),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, init, batches, crew):
+        # Counters may start at zero or below; targets repeat; batches
+        # may be empty.  Released sets, counters and books must agree.
+        n = len(init)
+        got_c = np.array(init, dtype=np.int64)
+        ref_c = got_c.copy()
+        got_cost, ref_cost = CostModel(crew=crew), CostModel(crew=crew)
+        for batch in batches:
+            targets = np.array([t % n for t in batch], dtype=np.int64)
+            got = decrement_and_fetch(got_c, targets, cost=got_cost)
+            ref = _daf_reference(ref_c, targets, cost=ref_cost)
+            np.testing.assert_array_equal(got, ref)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got_c, ref_c)
+        assert (got_cost.work, got_cost.depth) == (ref_cost.work,
+                                                   ref_cost.depth)
 
 
 class TestFetchAndAdd:

@@ -1,6 +1,8 @@
 """Unit tests for the ExecutionContext runtime."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -70,6 +72,21 @@ class TestConstruction:
                                   "adaptive": ctx.adaptive,
                                   "kernel_tier": ctx.kernel_tier,
                                   "wall_by_phase": {}}
+
+    def test_close_frees_scratch_without_the_cyclic_collector(self):
+        # A host context references itself, so only close() can free
+        # its scratch buffers as soon as a run ends.
+        gc.disable()
+        try:
+            ctx = ExecutionContext()
+            buf = ctx.scratch.take("x", 1 << 12)
+            alive = weakref.ref(buf.base)
+            del buf
+            ctx.close()
+            assert alive() is None
+            assert ctx.scratch.take("x", 8).size == 8  # still usable
+        finally:
+            gc.enable()
 
     def test_describe_includes_phase_walls(self):
         ctx = ExecutionContext()
