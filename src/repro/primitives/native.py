@@ -18,6 +18,13 @@ the library.  When no compiler is found, or the build or load fails,
 :func:`function` returns None and every caller falls back to its
 NumPy/Python implementation, which produces the same results.
 
+The default cache sits at a predictable path in a shared temp dir, so
+the library is loaded only from a directory this user owns and nobody
+else can write (created ``0o700``), and only when the shared object is
+a regular file with the same property; anything else — another user's
+directory, a group- or world-writable one, a symlink — is refused and
+the callers fall back as if there were no compiler.
+
 This is a build cache, not a kernel tier: the tier registry in
 :mod:`repro.primitives.tiers` (``auto|numpy|numba``) does not see it.
 """
@@ -28,6 +35,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -285,16 +293,32 @@ def find_compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
+def _private(path: str, is_dir: bool) -> bool:
+    """True when ``path`` (not followed if a symlink) is a directory or
+    regular file owned by this user and writable by nobody else."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    kind = stat.S_ISDIR if is_dir else stat.S_ISREG
+    if not kind(st.st_mode) or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        return False
+    return not hasattr(os, "getuid") or st.st_uid == os.getuid()
+
+
 def _build() -> dict | None:
-    """Build (or reuse) the library and bind it; None when no toolchain."""
+    """Build (or reuse) the library and bind it; None when no toolchain
+    or when the cache is not private to this user."""
     cc = find_compiler()
     if cc is None:
         return None
     tag = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:12]
     cdir = cc_cache_dir()
     so_path = os.path.join(cdir, f"repro-native-{tag}.so")
+    os.makedirs(cdir, mode=0o700, exist_ok=True)
+    if not _private(cdir, is_dir=True):
+        return None
     if not os.path.exists(so_path):
-        os.makedirs(cdir, exist_ok=True)
         src = os.path.join(cdir, f"repro-native-{tag}.{os.getpid()}.c")
         tmp = os.path.join(cdir, f".repro-native-{tag}.{os.getpid()}.so")
         with open(src, "w", encoding="utf-8") as fh:
@@ -307,7 +331,10 @@ def _build() -> dict | None:
             os.unlink(src)
         if proc.returncode != 0:
             return None
+        os.chmod(tmp, 0o755)  # whatever the umask: writable by us only
         os.replace(tmp, so_path)  # atomic: concurrent builders agree
+    if not _private(so_path, is_dir=False):
+        return None
     lib = ctypes.CDLL(so_path)
     funcs = {}
     for name, (symbol, restype, argtypes) in _SIGNATURES.items():

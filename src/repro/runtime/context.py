@@ -150,6 +150,12 @@ BACKENDS = ("serial", "threaded", "process")
 #: spans (frontier vertices have wildly varying degrees).
 CHUNKS_PER_WORKER = 4
 
+#: Smallest chunk adaptive dispatch plans, in items.  Below it a chunk's
+#: fixed per-call cost (tens of microseconds of NumPy calls) outweighs
+#: its work, and a round pays that cost once per planned chunk whether
+#: it is dispatched or inlined.
+MIN_CHUNK_ITEMS = 32
+
 #: Cap on one retry-backoff sleep, seconds.
 MAX_BACKOFF = 1.0
 
@@ -591,7 +597,12 @@ class ExecutionContext:
         Serial backend (or 1 worker): one chunk, executed inline — the
         call is exactly ``[fn(0, n)]``.  Parallel backends: balanced
         chunks on the shared pool; results are returned in chunk order,
-        so order-dependent combines are deterministic.
+        so order-dependent combines are deterministic.  With adaptive
+        dispatch ``on``, no chunk is planned below
+        :data:`MIN_CHUNK_ITEMS` items, so a small round has fewer chunks
+        (one when ``n < 2 * MIN_CHUNK_ITEMS``).  The list holds one
+        result per planned chunk whether the round is dispatched or
+        inlined.
 
         ``weights`` (per-item non-negative work estimates, e.g. the
         frontier's vertex degrees) switches the chunk boundaries to a
@@ -643,6 +654,11 @@ class ExecutionContext:
         if self.backend == "serial" or self.workers <= 1:
             return split_chunks(n, 1)
         target = self.workers * CHUNKS_PER_WORKER
+        if self.adaptive == "on":
+            # Granularity is adaptive scheduling too, but decided from n
+            # alone, so the plan (hence the result list) never depends
+            # on timing.  Forced modes and "off" keep the fixed plan.
+            target = max(1, min(target, n // MIN_CHUNK_ITEMS))
         if weights is not None and self.weighted_chunks:
             return split_chunks_weighted(n, target, weights)
         return split_chunks(n, target)
@@ -674,10 +690,11 @@ class ExecutionContext:
         set_kernel_tier(host._kernel_tier)
         est = host._estimator
         backend0 = self.backend
-        if backend0 == "process" and self.workers > 1 and len(chunks) > 1 \
+        if backend0 == "process" and self.workers > 1 and n > 1 \
                 and not isinstance(fn, Kernel):
-            # The contract holds whatever the dispatch decision: an
-            # inlined round today may dispatch tomorrow on a bigger box.
+            # The contract holds whatever the dispatch decision or the
+            # chunk grain: an inlined or single-chunk round today may
+            # dispatch tomorrow on a bigger box.
             raise TypeError(
                 "the process backend runs picklable kernel "
                 "descriptors, not closures: pass a "
@@ -706,31 +723,6 @@ class ExecutionContext:
         measure = eligible and self.adaptive == "on"
         ktimes: list | None = [] if measure else None
         t0 = time.perf_counter() if measure else 0.0
-        # Inline fast path: with no fault plan pinning (round, chunk)
-        # coordinates, an inlined round runs the planned spans in order
-        # on the coordinator — no futures, no specs, no wave machinery
-        # — and returns one result per planned chunk, exactly the
-        # shape a dispatched round returns, so the dispatch decision
-        # (which depends on timing and the core count) never shows in
-        # the result.  A fault plan keeps the per-chunk wave loop below
-        # so injections keep firing at the same coordinates they would
-        # under dispatch.
-        if inline and host._faultplan is None:
-            try:
-                inlined = [self._call_chunk(fn, lo, hi, None, records,
-                                            ktimes) for lo, hi in chunks]
-            except Exception:
-                # Re-run through the wave machinery so retry semantics
-                # and ChunkError reporting match the dispatched path
-                # (map_chunks requires chunks to be retry-safe).
-                pass
-            else:
-                if measure:
-                    est.observe_round(backend0, key, len(chunks), units,
-                                      time.perf_counter() - t0,
-                                      sum(ktimes), len(ktimes), inline,
-                                      p_eff)
-                return inlined
         results = [_PENDING] * len(chunks)
         attempts = [0] * len(chunks)
         todo = list(range(len(chunks)))

@@ -1,5 +1,5 @@
-"""Adaptive round dispatch: estimator model, mode switch, fused inline
-fast path, and the scheduling-only contract (colors and books never
+"""Adaptive round dispatch: estimator model, mode switch, inlined
+rounds, and the scheduling-only contract (colors and books never
 move, fault plans keep their (round, chunk) coordinates)."""
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.runtime.adaptive import (
     UNIT_FLOOR,
     effective_parallelism,
 )
+from repro.runtime.context import CHUNKS_PER_WORKER, MIN_CHUNK_ITEMS
 
 
 class TestModeResolution:
@@ -171,9 +172,9 @@ class TestMapChunksModes:
         with ExecutionContext(backend="threaded", workers=4,
                               adaptive="inline") as ctx:
             out = ctx.map_chunks(lambda lo, hi: hi - lo, self.N)
-        # No fault plan: the inlined round ran on the coordinator with
-        # no wave machinery, and still returns one result per planned
-        # chunk — the shape a dispatched round returns.
+        # The inlined round ran on the coordinator, and still returns
+        # one result per planned chunk — the shape a dispatched round
+        # returns.
         with ExecutionContext(backend="threaded", workers=4,
                               adaptive="parallel") as ref:
             assert out == ref.map_chunks(lambda lo, hi: hi - lo, self.N)
@@ -182,6 +183,21 @@ class TestMapChunksModes:
         assert rec["decisions"]["inline"] == 1
         assert rec["decisions"]["parallel"] == 0
         assert rec["mode"] == "inline"
+
+    def test_on_mode_plans_no_chunk_below_the_grain(self):
+        def spans(adaptive, n):
+            with ExecutionContext(backend="threaded", workers=4,
+                                  adaptive=adaptive) as ctx:
+                return ctx.map_chunks(lambda lo, hi: (lo, hi), n)
+
+        grain = MIN_CHUNK_ITEMS
+        assert spans("on", 2 * grain - 1) == [(0, 2 * grain - 1)]
+        small = spans("on", 5 * grain)
+        assert len(small) == 5
+        assert min(hi - lo for lo, hi in small) >= grain
+        # Big rounds and the fixed modes keep the full plan.
+        assert len(spans("on", 1000 * grain)) == 4 * CHUNKS_PER_WORKER
+        assert len(spans("off", 5 * grain)) == 4 * CHUNKS_PER_WORKER
 
     def test_forced_parallel_keeps_the_chunk_plan(self):
         with ExecutionContext(backend="threaded", workers=4,
@@ -192,9 +208,8 @@ class TestMapChunksModes:
         assert rec["decisions"] == {"inline": 0, "parallel": 1}
 
     def test_fault_plan_pins_chunk_coordinates(self):
-        # An active fault plan disables the fused span: the inlined
-        # round runs chunk by chunk so (round, chunk) draws keep firing
-        # at the coordinates a dispatched round would use.
+        # The inlined round runs chunk by chunk, so (round, chunk)
+        # draws fire at the coordinates a dispatched round would use.
         with ExecutionContext(backend="threaded", workers=4,
                               adaptive="inline", backoff=0.0,
                               faults="error@99.0") as ctx:

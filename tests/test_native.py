@@ -163,6 +163,59 @@ def test_one_library_holds_every_function(tmp_path, monkeypatch):
         native.reset()
 
 
+@needs_cc
+class TestPrivateCache:
+    """The library is loaded only from a cache nobody else can write;
+    otherwise every caller falls back as if there were no compiler."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        cdir = tmp_path / "cc"
+        monkeypatch.setenv(native.CC_CACHE_ENV, str(cdir))
+        native.reset()
+        yield cdir
+        monkeypatch.undo()
+        native.reset()
+
+    @staticmethod
+    def _assert_refused():
+        assert native.function("peel") is None
+        g = kronecker(8, 8, seed=2)
+        _assert_same_peel(peel_degeneracy(g), _peel_python(g))
+
+    def test_new_cache_is_private(self, cache):
+        assert native.function("peel") is not None
+        assert (cache.stat().st_mode & 0o777) == 0o700
+        (so,) = cache.iterdir()
+        assert so.stat().st_mode & 0o022 == 0
+
+    def test_foreign_owned_cache_refused(self, cache, monkeypatch):
+        cache.mkdir(mode=0o700)
+        monkeypatch.setattr(native.os, "getuid",
+                            lambda: cache.stat().st_uid + 1)
+        self._assert_refused()
+        assert list(cache.iterdir()) == []  # nothing compiled into it
+
+    def test_world_writable_cache_refused(self, cache):
+        cache.mkdir()
+        cache.chmod(0o777)
+        self._assert_refused()
+        assert list(cache.iterdir()) == []
+
+    def test_symlinked_cache_refused(self, cache, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir(mode=0o700)
+        cache.symlink_to(real)
+        self._assert_refused()
+
+    def test_group_writable_library_refused(self, cache):
+        assert native.function("peel") is not None
+        (so,) = cache.iterdir()
+        so.chmod(0o775)
+        native.reset()
+        self._assert_refused()
+
+
 def test_import_neither_compiles_nor_loads(tmp_path):
     cache = tmp_path / "cc"
     code = (
